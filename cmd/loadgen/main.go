@@ -42,16 +42,16 @@ import (
 )
 
 type config struct {
-	Seed       int64   `json:"seed"`
-	Tenants    int     `json:"tenants"`
-	N          float64 `json:"n"`
-	F          float64 `json:"f"`
-	FV         float64 `json:"fv"`
-	Skew       float64 `json:"skew"`
-	PoolFrames int     `json:"pool_frames"`
-	IOLatencyU int64   `json:"io_latency_us"`
-	TickEvery  int     `json:"tick_every"`
-	Settle     float64 `json:"settle"`
+	Seed       int64       `json:"seed"`
+	Tenants    int         `json:"tenants"`
+	N          float64     `json:"n"`
+	F          float64     `json:"f"`
+	FV         float64     `json:"fv"`
+	Skew       float64     `json:"skew"`
+	PoolFrames int         `json:"pool_frames"`
+	IOLatencyU int64       `json:"io_latency_us"`
+	TickEvery  int         `json:"tick_every"`
+	Settle     float64     `json:"settle"`
 	Phases     []phaseSpec `json:"phases"`
 }
 

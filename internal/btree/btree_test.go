@@ -9,6 +9,7 @@ import (
 	"viewmat/internal/pred"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 func newTestTree(t testing.TB, pageSize, poolCap int) (*Tree, *storage.Meter) {
@@ -27,19 +28,21 @@ func mk(id uint64, k int64) tuple.Tuple {
 	return tuple.New(id, tuple.I(k), tuple.S("payload"))
 }
 
-func collect(t testing.TB, it *Iterator) []tuple.Tuple {
+// scanTuples runs a batch scan of rg (nil = the whole tree), filling
+// batches of up to size rows, and gathers the rows back into tuples —
+// the view of the scan every tuple-level test and the fuzzer check.
+// Small sizes make Fill stop and resume mid-leaf.
+func scanTuples(t testing.TB, tr *Tree, rg *pred.Range, size int) []tuple.Tuple {
 	t.Helper()
-	var out []tuple.Tuple
-	for {
-		tp, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return out
-		}
-		out = append(out, tp)
+	it, err := tr.ScanBatches(rg, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	bs, err := it.Batches(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vec.Tuples(bs)
 }
 
 func TestInsertAndGet(t *testing.T) {
@@ -84,11 +87,7 @@ func TestDuplicateValuesDifferentIDs(t *testing.T) {
 			t.Fatalf("insert dup value id=%d: %v", id, err)
 		}
 	}
-	it, err := tr.Scan(pred.PointRange(tuple.I(42)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collect(t, it)
+	got := scanTuples(t, tr, pred.PointRange(tuple.I(42)), 7)
 	if len(got) != 40 {
 		t.Errorf("scan found %d duplicates, want 40", len(got))
 	}
@@ -111,11 +110,7 @@ func TestScanOrderAfterRandomInserts(t *testing.T) {
 			t.Fatalf("insert: %v", err)
 		}
 	}
-	it, err := tr.ScanAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collect(t, it)
+	got := scanTuples(t, tr, nil, 64)
 	if len(got) != 500 {
 		t.Fatalf("scan found %d, want 500", len(got))
 	}
@@ -151,11 +146,7 @@ func TestRangeScanBounds(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			it, err := tr.Scan(tc.rg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := collect(t, it)
+			got := scanTuples(t, tr, tc.rg, 3)
 			if len(got) != tc.count {
 				t.Fatalf("count = %d, want %d", len(got), tc.count)
 			}
@@ -185,8 +176,7 @@ func TestDeleteThenScan(t *testing.T) {
 	if ok, _ := tr.Delete(tuple.I(0), 1); ok {
 		t.Error("second delete of same tuple succeeded")
 	}
-	it, _ := tr.ScanAll()
-	got := collect(t, it)
+	got := scanTuples(t, tr, nil, vec.DefaultBatchSize)
 	if len(got) != 100 {
 		t.Fatalf("after deletes scan found %d, want 100", len(got))
 	}
@@ -212,8 +202,7 @@ func TestDeleteEntireTreeThenReinsert(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Errorf("Len = %d after deleting all", tr.Len())
 	}
-	it, _ := tr.ScanAll()
-	if got := collect(t, it); len(got) != 0 {
+	if got := scanTuples(t, tr, nil, vec.DefaultBatchSize); len(got) != 0 {
 		t.Errorf("scan of emptied tree found %d tuples", len(got))
 	}
 	// Tree must remain usable.
@@ -222,8 +211,7 @@ func TestDeleteEntireTreeThenReinsert(t *testing.T) {
 			t.Fatalf("reinsert: %v", err)
 		}
 	}
-	it, _ = tr.ScanAll()
-	if got := collect(t, it); len(got) != 50 {
+	if got := scanTuples(t, tr, nil, vec.DefaultBatchSize); len(got) != 50 {
 		t.Errorf("after reinsert scan found %d, want 50", len(got))
 	}
 }
@@ -281,6 +269,124 @@ func TestLeafPagesChargesNothing(t *testing.T) {
 	}
 }
 
+// leafChain returns each leaf's key values in chain order, read through
+// unmetered peeks: the oracle for which leaves a scan must touch.
+func leafChain(t *testing.T, tr *Tree) [][]int64 {
+	t.Helper()
+	pn, err := tr.leftmostLeafUncharged()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]int64
+	for {
+		page, err := tr.file.Peek(pn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf, err := decodeLeaf(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ks []int64
+		for _, tp := range leaf.tuples {
+			ks = append(ks, tp.Vals[0].Int())
+		}
+		out = append(out, ks)
+		if !leaf.hasNext {
+			return out
+		}
+		pn = leaf.next
+	}
+}
+
+// TestRangeScanChargesDescentPlusLeaves pins the metered cost of a cold
+// range scan: the descent above the leaves plus every leaf visited,
+// including the one leaf read past the range to find its upper bound.
+// The expected leaves come from the unmetered chain. In an insert-only
+// tree each separator is its right leaf's first key, so the descent for
+// a lower bound Lo lands on the last leaf whose first key sorts below
+// (Lo, id 0) — for an exclusive bound, below (Lo, max id) — and the walk
+// stops at the first leaf holding a key beyond Hi.
+func TestRangeScanChargesDescentPlusLeaves(t *testing.T) {
+	tr, m := newTestTree(t, 512, 128)
+	for i := int64(0); i < 300; i++ {
+		if err := tr.Insert(mk(uint64(i+1), 2*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaves := leafChain(t, tr)
+	if len(leaves) < 6 || tr.Height() < 3 {
+		t.Fatalf("fixture too small: %d leaves, height %d", len(leaves), tr.Height())
+	}
+	first := func(l int) int64 { return leaves[l][0] }
+	last := func(l int) int64 { return leaves[l][len(leaves[l])-1] }
+	closed := func(lo, hi int64, loInc, hiInc bool) *pred.Range {
+		return pred.NewRange(tuple.I(lo), tuple.I(hi), loInc, hiInc)
+	}
+	lo3, hi2 := tuple.I(leaves[3][1]), tuple.I(leaves[2][1])
+	cases := []struct {
+		name string
+		rg   *pred.Range
+	}{
+		{"mid-leaf", closed(leaves[2][1], leaves[2][len(leaves[2])-2], true, true)},
+		{"start-on-first-key", closed(first(3), leaves[3][2], true, true)},
+		{"end-on-last-key", closed(leaves[2][1], last(2), true, true)},
+		{"end-excl-on-next-first-key", closed(leaves[2][1], first(3), true, false)},
+		{"start-excl-on-last-key", closed(last(1), leaves[2][1], false, true)},
+		{"span-leaves", closed(leaves[1][1], leaves[4][1], true, true)},
+		{"first-to-last-key", closed(first(1), last(4), true, true)},
+		{"empty-gap", closed(leaves[2][1]+1, leaves[2][1]+1, true, true)},
+		{"empty-before", closed(-10, -5, true, true)},
+		{"empty-after", closed(10000, 20000, true, true)},
+		{"no-hi", &pred.Range{Lo: &lo3, LoInc: true}},
+		{"no-lo", &pred.Range{Hi: &hi2, HiInc: true}},
+		{"full-range", pred.FullRange()},
+		{"nil", nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			start := 0
+			if tc.rg != nil && tc.rg.Lo != nil {
+				lo := tc.rg.Lo.Int()
+				for l := range leaves {
+					if first(l) < lo || (!tc.rg.LoInc && first(l) == lo) {
+						start = l
+					}
+				}
+			}
+			visited, rows := 0, 0
+		walk:
+			for l := start; l < len(leaves); l++ {
+				visited++
+				for _, k := range leaves[l] {
+					if tc.rg != nil && tc.rg.Hi != nil {
+						hi := tc.rg.Hi.Int()
+						if k > hi || (k == hi && !tc.rg.HiInc) {
+							break walk
+						}
+					}
+					if tc.rg == nil || tc.rg.Contains(tuple.I(k)) {
+						rows++
+					}
+				}
+			}
+			if err := tr.pool.EvictAll(); err != nil {
+				t.Fatal(err)
+			}
+			before := m.Snapshot()
+			got := scanTuples(t, tr, tc.rg, 3)
+			reads := m.Snapshot().Sub(before).Reads
+			if want := int64(tr.Height() - 1 + visited); reads != want {
+				t.Errorf("cold scan charged %d reads, want %d (descent %d + %d leaves)",
+					reads, want, tr.Height()-1, visited)
+			}
+			if len(got) != rows {
+				t.Errorf("scan returned %d rows, want %d", len(got), rows)
+			}
+		})
+	}
+}
+
 func TestOversizedTupleRejected(t *testing.T) {
 	tr, _ := newTestTree(t, 64, 16)
 	big := tuple.New(1, tuple.I(1), tuple.S(string(make([]byte, 100))))
@@ -302,8 +408,7 @@ func TestStringKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	it, _ := tr.ScanAll()
-	got := collect(t, it)
+	got := scanTuples(t, tr, nil, 3)
 	want := append([]string(nil), words...)
 	sort.Strings(want)
 	for i, tp := range got {
@@ -341,11 +446,7 @@ func TestPropertyInsertDeleteScan(t *testing.T) {
 				}
 			}
 		}
-		it, err := tr.ScanAll()
-		if err != nil {
-			return false
-		}
-		got := collect(t, it)
+		got := scanTuples(t, tr, nil, 5)
 		if len(got) != len(live) {
 			return false
 		}
@@ -377,19 +478,14 @@ func TestPropertyRangeScanAgreesWithFilter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	itAll, _ := tr.ScanAll()
-	all := collect(t, itAll)
+	all := scanTuples(t, tr, nil, vec.DefaultBatchSize)
 	fn := func(a, b int8, inc uint8) bool {
 		lo, hi := int64(a), int64(b)
 		if lo > hi {
 			lo, hi = hi, lo
 		}
 		rg := pred.NewRange(tuple.I(lo), tuple.I(hi), inc&1 == 0, inc&2 == 0)
-		it, err := tr.Scan(rg)
-		if err != nil {
-			return false
-		}
-		got := collect(t, it)
+		got := scanTuples(t, tr, rg, 4)
 		var want int
 		for _, tp := range all {
 			if rg.Contains(tp.Vals[0]) {

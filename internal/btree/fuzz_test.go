@@ -14,6 +14,8 @@ import (
 // oracle. Keys are drawn from a narrow signed-byte space so duplicate
 // key values (distinguished only by tuple id, the tree's tiebreak) are
 // common, and the 256-byte page size forces splits and merges early.
+// Scans fill batches of 1–8 rows, a size taken from the input, so
+// BatchIterator.Fill stops and resumes mid-leaf against the oracle.
 func FuzzBTree(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 5, 1, 0, 3, 250, 0, 130, 2, 5})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 3, 0})
@@ -41,20 +43,9 @@ func FuzzBTree(f *testing.F) {
 			})
 			return s
 		}
-		checkScan := func(rg *pred.Range, lo, hi int64, bounded bool) {
-			it, err := tr.Scan(rg)
-			if err != nil {
-				t.Fatal(err)
-			}
+		checkScan := func(rg *pred.Range, lo, hi int64, bounded bool, size int) {
 			var got []rec
-			for {
-				tp, ok, err := it.Next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					break
-				}
+			for _, tp := range scanTuples(t, tr, rg, size) {
 				got = append(got, rec{k: tp.Vals[0].Int(), id: tp.ID})
 			}
 			var want []rec
@@ -74,6 +65,10 @@ func FuzzBTree(f *testing.F) {
 			}
 		}
 
+		finalSize := 1
+		if len(data) > 0 {
+			finalSize = int(data[0])%8 + 1
+		}
 		nextID := uint64(1)
 		for len(data) >= 2 {
 			op, arg := data[0], data[1]
@@ -113,14 +108,14 @@ func FuzzBTree(f *testing.F) {
 				lo := int64(int8(arg))
 				hi := lo + 16
 				loV, hiV := tuple.I(lo), tuple.I(hi)
-				checkScan(&pred.Range{Lo: &loV, LoInc: true, Hi: &hiV, HiInc: false}, lo, hi, true)
+				checkScan(&pred.Range{Lo: &loV, LoInc: true, Hi: &hiV, HiInc: false}, lo, hi, true, int(op/4)%8+1)
 			}
 			if tr.Len() != len(live) {
 				t.Fatalf("Len = %d, oracle has %d live tuples", tr.Len(), len(live))
 			}
 		}
 		// Final full scan and point lookups.
-		checkScan(nil, 0, 0, false)
+		checkScan(nil, 0, 0, false, finalSize)
 		for _, r := range live {
 			tp, ok, err := tr.Get(tuple.I(r.k), r.id)
 			if err != nil || !ok {

@@ -31,6 +31,10 @@ var (
 	// ErrBadRequest: the server could not decode or validate the
 	// request.
 	ErrBadRequest = errors.New("client: bad request")
+	// ErrTooLarge: the request ran but its response exceeded the
+	// protocol's frame cap, so no result was sent. The connection
+	// stays usable.
+	ErrTooLarge = errors.New("client: response too large")
 )
 
 // Options tunes a Client.
@@ -52,14 +56,22 @@ func Dial(addr string) (*Client, error) { return DialOptions(addr, Options{}) }
 
 // DialOptions connects to a viewmatd server.
 func DialOptions(addr string, opts Options) (*Client, error) {
-	if opts.Timeout <= 0 {
-		opts.Timeout = 30 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", addr, opts.Timeout)
+	c := New(nil, opts)
+	conn, err := net.DialTimeout("tcp", addr, c.timeout)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, timeout: opts.Timeout}, nil
+	c.conn = conn
+	return c, nil
+}
+
+// New wraps an established connection to a viewmatd server; the
+// Client owns conn from then on.
+func New(conn net.Conn, opts Options) *Client {
+	if opts.Timeout <= 0 {
+		opts.Timeout = 30 * time.Second
+	}
+	return &Client{conn: conn, timeout: opts.Timeout}
 }
 
 // Close closes the connection.
@@ -92,6 +104,8 @@ func (c *Client) call(req *proto.Request) (*proto.Response, error) {
 		return nil, ErrShuttingDown
 	case proto.CodeBadRequest:
 		return nil, fmt.Errorf("%w: %s", ErrBadRequest, resp.Err)
+	case proto.CodeTooLarge:
+		return nil, fmt.Errorf("%w: %s", ErrTooLarge, resp.Err)
 	default:
 		return nil, errors.New(resp.Err)
 	}

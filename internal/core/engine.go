@@ -342,13 +342,6 @@ func NewDatabase(opts Options) *Database {
 	return db
 }
 
-// SetShareDeltas switches the shared-delta refresh mode at runtime.
-func (db *Database) SetShareDeltas(m ShareDeltaMode) {
-	db.mu.Lock()
-	db.shareDeltas = m
-	db.mu.Unlock()
-}
-
 // ShareDeltas returns the configured shared-delta refresh mode.
 func (db *Database) ShareDeltas() ShareDeltaMode {
 	db.mu.RLock()

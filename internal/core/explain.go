@@ -64,11 +64,11 @@ func (db *Database) profileViewLocked(view string, hints WorkloadHints) (costmod
 		// A hierarchy child's "base relation" is its parent's
 		// materialization: profile N, S and f from the parent's current
 		// rows and pages.
-		rows, err := db.parentRows(parent)
+		tps, err := db.parentTuples(parent)
 		if err != nil {
 			return costmodel.Params{}, err
 		}
-		n := len(rows)
+		n := len(tps)
 		if n == 0 {
 			return costmodel.Params{}, fmt.Errorf("core: parent view %q is empty; nothing to profile", parent.def.Name)
 		}
@@ -84,8 +84,8 @@ func (db *Database) profileViewLocked(view string, hints WorkloadHints) (costmod
 			p.S = 1
 		}
 		matches := 0
-		for _, row := range rows {
-			if vs.def.Pred.EvalSingle(0, row.T0) {
+		for _, tp := range tps {
+			if vs.def.Pred.EvalSingle(0, tp) {
 				matches++
 			}
 		}

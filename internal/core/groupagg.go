@@ -203,12 +203,12 @@ func (db *Database) recomputeGroup(vs *viewState, group tuple.Value, s *agg.Stat
 		}
 	}
 	if p := db.parentOf(vs); p != nil {
-		rows, err := db.parentRows(p)
+		tps, err := db.parentTuples(p)
 		if err != nil {
 			return err
 		}
-		for _, row := range rows {
-			consume(row.T0)
+		for _, tp := range tps {
+			consume(tp)
 		}
 		s.Rebuild(vals)
 		return nil
@@ -225,18 +225,11 @@ func (db *Database) recomputeGroup(vs *viewState, group tuple.Value, s *agg.Stat
 		if vs.def.GroupBy == r.KeyCol() {
 			scanRg = pred.PointRange(group)
 		}
-		it, err := r.Iter(scanRg)
+		tps, err := r.Scan(scanRg)
 		if err != nil {
 			return err
 		}
-		for {
-			tp, ok, err := it.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
+		for _, tp := range tps {
 			consume(tp)
 		}
 	} else {
@@ -365,24 +358,10 @@ func (db *Database) groupsFromBase(vs *viewState, rg *pred.Range) ([]GroupRow, e
 		source = exec.NewSeqScan(db.execOpts(), db.rels[vs.def.Relations[0]])
 	}
 	if h, ok := db.hrs[vs.def.Relations[0]]; ok && h.ADLen() > 0 {
-		pending := exec.NewFuncSource(db.execOpts(), fmt.Sprintf("PendingAD(%s)", vs.def.Relations[0]), func() ([]exec.Row, error) {
-			anet, dnet, err := h.NetChanges()
-			if err != nil {
-				return nil, err
-			}
-			for _, tp := range dnet {
-				skip[tp.ID] = true
-			}
-			rows := make([]exec.Row, len(anet))
-			for i, tp := range anet {
-				rows[i] = exec.Row{T0: tp, Insert: true}
-			}
-			return rows, nil
-		})
 		// Pending adds stream ahead of the base scan so the skip set is
 		// filled before any base row is screened (the group fold is
 		// order-independent).
-		source = exec.NewSeq("pending+base", pending, source)
+		source = exec.NewSeq("pending+base", db.pendingADOp(vs.def.Relations[0], skip), source)
 	}
 	states := map[string]*agg.State{}
 	groups := map[string]tuple.Value{}

@@ -7,6 +7,7 @@ import (
 	"viewmat/internal/costmodel"
 	"viewmat/internal/exec"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 // View hierarchies: views defined over other views, maintained in the
@@ -252,48 +253,50 @@ func (db *Database) childPending(vs *viewState) bool {
 	return vs.parentGen != p.logGen || vs.parentPos < p.logStart+int64(len(p.deltaLog))
 }
 
-// parentRows materializes the parent's current logical contents as
-// insert-polarity rows: duplicate-expanded matview rows, or one
-// (group, value) row per live group for grouped-aggregate parents.
-func (db *Database) parentRows(p *viewState) ([]exec.Row, error) {
+// parentTuples materializes the parent's current logical contents as
+// id-less tuples: duplicate-expanded matview rows, or one (group,
+// value) tuple per live group for grouped-aggregate parents.
+func (db *Database) parentTuples(p *viewState) ([]tuple.Tuple, error) {
 	if p.mat != nil {
 		stored, err := p.mat.Scan(nil)
 		if err != nil {
 			return nil, err
 		}
-		var rows []exec.Row
+		var tps []tuple.Tuple
 		for _, r := range stored {
 			for i := int64(0); i < r.Count; i++ {
-				rows = append(rows, exec.Row{T0: tuple.Tuple{Vals: r.Vals}, Insert: true})
+				tps = append(tps, tuple.Tuple{Vals: r.Vals})
 			}
 		}
-		return rows, nil
+		return tps, nil
 	}
 	if p.groups != nil {
 		all, err := p.groups.rel.ScanAll()
 		if err != nil {
 			return nil, err
 		}
-		var rows []exec.Row
+		var tps []tuple.Tuple
 		for _, tp := range all {
 			s := stateOf(p.def.AggKind, tp)
 			v, ok := s.Value()
 			if !ok {
 				continue
 			}
-			rows = append(rows, exec.Row{T0: tuple.Tuple{Vals: []tuple.Value{tp.Vals[0], tuple.F(v)}}, Insert: true})
+			tps = append(tps, tuple.Tuple{Vals: []tuple.Value{tp.Vals[0], tuple.F(v)}})
 		}
-		return rows, nil
+		return tps, nil
 	}
 	return nil, fmt.Errorf("core: view %q has no materialization to read", p.def.Name)
 }
 
 // parentScanOp is the charged scan of a parent view's contents — the
-// child-side analogue of baseSource. The generator runs bracketed at
-// Open, so the parent-store reads land on this node.
+// child-side analogue of baseSource — emitting them as inserts. The
+// read runs bracketed at Open, so the parent-store reads land on this
+// node.
 func (db *Database) parentScanOp(p *viewState) exec.Operator {
-	return exec.NewFuncSource(db.execOpts(), fmt.Sprintf("ParentScan(%s)", p.def.Name), func() ([]exec.Row, error) {
-		return db.parentRows(p)
+	return exec.NewBatchSource(db.execOpts(), fmt.Sprintf("ParentScan(%s)", p.def.Name), func(size int) ([]*vec.Batch, error) {
+		tps, err := db.parentTuples(p)
+		return vec.FromTuples(tps, true, size), err
 	})
 }
 

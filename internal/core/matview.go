@@ -7,6 +7,7 @@ import (
 	"viewmat/internal/relation"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 // dupCountCol is the name of the hidden duplicate-count column.
@@ -136,34 +137,39 @@ type Row struct {
 	Count int64
 }
 
-// Scan returns the distinct rows whose clustering value lies in rg
-// (nil for all), in key order, with their duplicate counts.
-func (v *MatView) Scan(rg *pred.Range) ([]Row, error) {
-	stored, err := v.rel.Scan(orFull(rg))
+// ScanBatches reads the distinct rows whose clustering value lies in rg
+// (nil for all), in key order, as batches of up to size rows: each
+// row's logical values in the output lanes and its duplicate count in
+// the Dup lane.
+func (v *MatView) ScanBatches(rg *pred.Range, size int) ([]*vec.Batch, error) {
+	it, err := v.rel.IterBatches(orFull(rg), nil)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Row, len(stored))
-	for i, tp := range stored {
-		n := len(tp.Vals) - 1
-		out[i] = Row{Vals: tp.Vals[:n], Count: tp.Vals[n].Int()}
+	bs, err := it.Batches(size)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	for i, b := range bs {
+		bs[i] = b.SplitDup()
+	}
+	return bs, nil
 }
 
-// TotalCount returns the logical cardinality (sum of duplicate counts);
-// unmetered scans are not used — this reads through the pool like any
-// full scan, so callers should treat it as a charged operation.
-func (v *MatView) TotalCount() (int64, error) {
-	rows, err := v.Scan(nil)
+// Scan returns the distinct rows whose clustering value lies in rg
+// (nil for all), in key order, with their duplicate counts.
+func (v *MatView) Scan(rg *pred.Range) ([]Row, error) {
+	bs, err := v.ScanBatches(rg, vec.DefaultBatchSize)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	var total int64
-	for _, r := range rows {
-		total += r.Count
+	var out []Row
+	for _, b := range bs {
+		for i := 0; i < b.NumRows(); i++ {
+			out = append(out, Row{Vals: b.OutAt(i), Count: b.DupAt(i)})
+		}
 	}
-	return total, nil
+	return out, nil
 }
 
 func orFull(rg *pred.Range) *pred.Range {

@@ -8,6 +8,7 @@ import (
 	"viewmat/internal/pred"
 	"viewmat/internal/relation"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 // QueryPlan selects the access path for query-modification execution
@@ -135,7 +136,7 @@ func (db *Database) QueryAggregate(name string) (value float64, ok bool, err err
 			// Read the one-page aggregate state (C_query3 = C2). The
 			// in-memory state is authoritative and identical to the
 			// page; the page read is the charged operation.
-			read := exec.NewFuncSource(db.execOpts(), fmt.Sprintf("AggRead(%s)", vs.def.Name), func() ([]exec.Row, error) {
+			read := exec.NewBatchSource(db.execOpts(), fmt.Sprintf("AggRead(%s)", vs.def.Name), func(int) ([]*vec.Batch, error) {
 				fr, err := db.pool.Get(vs.aggFile, vs.aggPage)
 				if err != nil {
 					return nil, err
@@ -249,16 +250,8 @@ func (db *Database) refreshDeferred(root *viewState) error {
 // each stored row is screened against the query predicate at C1 (the
 // model's C1·f·fv·N term).
 func (db *Database) queryMaterialized(vs *viewState, rg *pred.Range) ([]ResultRow, error) {
-	scan := exec.NewFuncSource(db.execOpts(), fmt.Sprintf("MatScan(%s%s)", vs.def.Name, matRangeSuffix(rg)), func() ([]exec.Row, error) {
-		stored, err := vs.mat.Scan(rg)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]exec.Row, len(stored))
-		for i, r := range stored {
-			out[i] = exec.Row{Vals: r.Vals, Dup: r.Count}
-		}
-		return out, nil
+	scan := exec.NewBatchSource(db.execOpts(), fmt.Sprintf("MatScan(%s%s)", vs.def.Name, matRangeSuffix(rg)), func(size int) ([]*vec.Batch, error) {
+		return vs.mat.ScanBatches(rg, size)
 	})
 	screen := exec.NewFilter(db.execOpts(), vs.def.Name, scan, exec.Pred{}, true)
 	node, delta, rows, err := db.runTree(screen, true)
@@ -494,21 +487,7 @@ func (db *Database) computeAggregateFromBase(vs *viewState) (float64, bool, erro
 		// relation with deferred views stay correct: pending adds are
 		// streamed ahead of the base scan, pending deletes fill the
 		// skip set the filter below consults.
-		pending := exec.NewFuncSource(db.execOpts(), fmt.Sprintf("PendingAD(%s)", vs.def.Relations[0]), func() ([]exec.Row, error) {
-			anet, dnet, err := h.NetChanges()
-			if err != nil {
-				return nil, err
-			}
-			for _, tp := range dnet {
-				skipDeleted[tp.ID] = true
-			}
-			rows := make([]exec.Row, len(anet))
-			for i, tp := range anet {
-				rows[i] = exec.Row{T0: tp, Insert: true}
-			}
-			return rows, nil
-		})
-		source = exec.NewSeq("pending+base", pending, source)
+		source = exec.NewSeq("pending+base", db.pendingADOp(vs.def.Relations[0], skipDeleted), source)
 	}
 	filter := exec.NewFilter(db.execOpts(), vs.def.Name, source,
 		exec.Pred{P: vs.def.Pred, SkipIDs: skipDeleted}, true)
@@ -524,6 +503,22 @@ func (db *Database) computeAggregateFromBase(vs *viewState) (float64, bool, erro
 	}
 	v, ok := state.Value()
 	return v, ok, nil
+}
+
+// pendingADOp is the charged read of an HR's un-folded net changes for
+// a query-modification plan: at Open it reads the AD file, records the
+// net deletes' ids in skip, and then streams the net adds as inserts.
+func (db *Database) pendingADOp(rel string, skip map[uint64]bool) exec.Operator {
+	return exec.NewBatchSource(db.execOpts(), fmt.Sprintf("PendingAD(%s)", rel), func(size int) ([]*vec.Batch, error) {
+		anet, dnet, err := db.hrs[rel].NetChanges()
+		if err != nil {
+			return nil, err
+		}
+		for _, tp := range dnet {
+			skip[tp.ID] = true
+		}
+		return vec.FromTuples(anet, true, size), nil
+	})
 }
 
 // combineRange intersects the view predicate's interval on (slot, col)

@@ -7,6 +7,7 @@ import (
 	"viewmat/internal/pred"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 func tp(id uint64, vals ...int64) tuple.Tuple {
@@ -109,13 +110,22 @@ func TestUnchargedFilterChargesNothing(t *testing.T) {
 	}
 }
 
+// packRows packs rows into batches of up to size rows for a test leaf.
+func packRows(rows []Row, size int) []*vec.Batch {
+	p := rowPacker{rows: rows, size: size}
+	var out []*vec.Batch
+	for b := p.next(); b != nil; b = p.next() {
+		out = append(out, b)
+	}
+	return out
+}
+
 func TestSeqOpensInputsLazily(t *testing.T) {
 	var order []string
-	gen := func(name string, n int) *FuncSource {
-		return NewFuncSource(Options{BatchSize: 1}, name, func() ([]Row, error) {
+	gen := func(name string, n int) *BatchSource {
+		return NewBatchSource(Options{BatchSize: 1}, name, func(size int) ([]*vec.Batch, error) {
 			order = append(order, name)
-			rows := make([]Row, n)
-			return rows, nil
+			return packRows(make([]Row, n), size), nil
 		})
 	}
 	seq := NewSeq("phases", gen("first", 2), gen("second", 1))
@@ -154,11 +164,11 @@ func TestMergePendingCancelsAndAppends(t *testing.T) {
 	o := Options{Meter: m}
 	// Input stream carries projected values 10 and 20; pending deletes
 	// cancel the 10, pending adds append a 30.
-	input := NewFuncSource(o, "base", func() ([]Row, error) {
-		return []Row{
+	input := NewBatchSource(o, "base", func(size int) ([]*vec.Batch, error) {
+		return packRows([]Row{
 			{Vals: []tuple.Value{tuple.I(10)}},
 			{Vals: []tuple.Value{tuple.I(20)}},
-		}, nil
+		}, size), nil
 	})
 	mp := NewMergePending(o, "v", input,
 		func() ([]tuple.Tuple, []tuple.Tuple, error) {
@@ -209,8 +219,8 @@ func TestCrossDeltasEmitsInsertThenDeletePairs(t *testing.T) {
 func TestMatchDeltasFlatScreensAndPolarity(t *testing.T) {
 	m := storage.NewMeter()
 	o := Options{Meter: m}
-	outer := NewFuncSource(o, "r1", func() ([]Row, error) {
-		return []Row{{T0: tp(1, 7)}}, nil
+	outer := NewBatchSource(o, "r1", func(size int) ([]*vec.Batch, error) {
+		return packRows([]Row{{T0: tp(1, 7)}}, size), nil
 	})
 	md := NewMatchDeltas(o, outer,
 		[]tuple.Tuple{tp(2, 7)}, []tuple.Tuple{tp(3, 7), tp(4, 8)},

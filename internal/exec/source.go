@@ -59,47 +59,75 @@ func (s *Scan) Describe() string {
 	return fmt.Sprintf("Scan(%s%s)", s.rel.Name(), rangeSuffix(s.rg))
 }
 
-// SeqScan reads every tuple of a relation — the sequential plan, and
-// the only clustered access path a hash relation offers. Pages decode
-// straight into columnar batches at Open (inside the bracket, keeping
-// every page read attributed here and the pool activity ordered exactly
-// as the tuple path's). Prune atoms, when set, let the scan skip pages
-// whose zone maps disprove the downstream predicate; skipped pages are
-// never charged and are reported via Stats().Pruned.
-type SeqScan struct {
+// BatchSource is a leaf that loads its whole output as buffered batches
+// at Open, inside the bracket, so every page read it makes is
+// attributed here and the pool activity is ordered exactly as one
+// whole read orders it. NewSeqScan makes it the sequential plan — every
+// tuple of a relation, and the only clustered access path a hash
+// relation offers — with pages decoded straight into columnar batches.
+// Prune atoms, when set, let that scan skip pages whose zone maps
+// disprove the downstream predicate; skipped pages are never charged
+// and are reported via Stats().Pruned. NewIndexFetch and NewBatchSource
+// serve the other whole-read leaves.
+type BatchSource struct {
 	base
-	rel    *relation.Relation
-	prune  []colpage.Atom
+	label  string
+	load   func(size int) ([]*vec.Batch, int64, error)
 	bufs   []*vec.Batch
 	i      int
 	size   int
 	pruned int64
 }
 
+// NewBatchSource builds a leaf over load, which runs bracketed at Open
+// and returns the leaf's whole output in batches of up to size rows —
+// so plan-time work such as reading a materialized view or fetching HR
+// net changes is attributed to the tree that consumes it.
+func NewBatchSource(o Options, label string, load func(size int) ([]*vec.Batch, error)) *BatchSource {
+	return &BatchSource{base: base{meter: o.Meter}, label: label, size: o.size(),
+		load: func(size int) ([]*vec.Batch, int64, error) {
+			bufs, err := load(size)
+			return bufs, 0, err
+		}}
+}
+
 // NewSeqScan builds a full sequential scan.
-func NewSeqScan(o Options, rel *relation.Relation) *SeqScan {
-	return &SeqScan{base: base{meter: o.Meter}, rel: rel, size: o.size()}
+func NewSeqScan(o Options, rel *relation.Relation) *BatchSource {
+	return NewSeqScanPruned(o, rel, nil)
 }
 
 // NewSeqScanPruned builds a full sequential scan that may skip pages
 // the prune atoms' zone maps disprove. The caller must only pass atoms
 // entailed by the predicate it will apply to the scan's output.
-func NewSeqScanPruned(o Options, rel *relation.Relation, prune []colpage.Atom) *SeqScan {
-	s := NewSeqScan(o, rel)
-	s.prune = prune
-	return s
+func NewSeqScanPruned(o Options, rel *relation.Relation, prune []colpage.Atom) *BatchSource {
+	return &BatchSource{base: base{meter: o.Meter}, label: fmt.Sprintf("SeqScan(%s)", rel.Name()), size: o.size(),
+		load: func(size int) ([]*vec.Batch, int64, error) {
+			return rel.ScanAllBatches(size, prune)
+		}}
 }
 
-func (s *SeqScan) Open() error {
+// NewIndexFetch builds a fetch through rel's unclustered secondary
+// index on col over rg: a pointer-entry range scan followed by one
+// clustered fetch per pointer — the random-page behaviour the paper
+// prices with y(N, b, ·).
+func NewIndexFetch(o Options, rel *relation.Relation, col int, rg *pred.Range) *BatchSource {
+	label := fmt.Sprintf("IndexFetch(%s.%d%s)", rel.Name(), col, rangeSuffix(rg))
+	return NewBatchSource(o, label, func(size int) ([]*vec.Batch, error) {
+		tps, err := rel.LookupSecondary(col, rg)
+		return vec.FromTuples(tps, false, size), err
+	})
+}
+
+func (s *BatchSource) Open() error {
 	s.i = 0
 	return s.bracket(func() error {
-		bufs, pruned, err := s.rel.ScanAllBatches(s.size, s.prune)
+		bufs, pruned, err := s.load(s.size)
 		s.bufs, s.pruned = bufs, pruned
 		return err
 	})
 }
 
-func (s *SeqScan) NextBatch() (*vec.Batch, error) {
+func (s *BatchSource) NextBatch() (*vec.Batch, error) {
 	if s.i >= len(s.bufs) {
 		return nil, nil
 	}
@@ -108,72 +136,14 @@ func (s *SeqScan) NextBatch() (*vec.Batch, error) {
 	return s.emitBatch(b), nil
 }
 
-func (s *SeqScan) Close() error         { s.bufs = nil; return nil }
-func (s *SeqScan) Children() []Operator { return nil }
-func (s *SeqScan) Stats() OpStats {
+func (s *BatchSource) Close() error         { s.bufs = nil; return nil }
+func (s *BatchSource) Children() []Operator { return nil }
+func (s *BatchSource) Stats() OpStats {
 	st := s.stats()
 	st.Pruned = s.pruned
 	return st
 }
-func (s *SeqScan) Describe() string { return fmt.Sprintf("SeqScan(%s)", s.rel.Name()) }
-
-// IndexFetch fetches tuples through an unclustered secondary index: a
-// pointer-entry range scan followed by one clustered fetch per pointer
-// — the random-page behaviour the paper prices with y(N, b, ·).
-type IndexFetch struct {
-	base
-	rel  *relation.Relation
-	col  int
-	rg   *pred.Range
-	buf  []tuple.Tuple
-	i    int
-	size int
-}
-
-// NewIndexFetch builds a secondary-index fetch on rel.col over rg.
-func NewIndexFetch(o Options, rel *relation.Relation, col int, rg *pred.Range) *IndexFetch {
-	return &IndexFetch{base: base{meter: o.Meter}, rel: rel, col: col, rg: rg, size: o.size()}
-}
-
-func (s *IndexFetch) Open() error {
-	s.i = 0
-	return s.bracket(func() error {
-		buf, err := s.rel.LookupSecondary(s.col, s.rg)
-		s.buf = buf
-		return err
-	})
-}
-
-func (s *IndexFetch) NextBatch() (*vec.Batch, error) {
-	b := packTuples(s.buf, &s.i, s.size)
-	if b == nil {
-		return nil, nil
-	}
-	return s.emitBatch(b), nil
-}
-
-func (s *IndexFetch) Close() error         { s.buf = nil; return nil }
-func (s *IndexFetch) Children() []Operator { return nil }
-func (s *IndexFetch) Stats() OpStats       { return s.stats() }
-func (s *IndexFetch) Describe() string {
-	return fmt.Sprintf("IndexFetch(%s.%d%s)", s.rel.Name(), s.col, rangeSuffix(s.rg))
-}
-
-// packTuples fills one batch of slot-0 rows from buf starting at *i,
-// advancing *i past the rows consumed. nil means buf is exhausted.
-func packTuples(buf []tuple.Tuple, i *int, size int) *vec.Batch {
-	if *i >= len(buf) {
-		return nil
-	}
-	b := &vec.Batch{}
-	for *i < len(buf) {
-		if !appendRow(b, Row{T0: buf[*i]}, size) {
-			break
-		}
-		*i++
-	}
-	return b
-}
+func (s *BatchSource) Describe() string { return s.label }
 
 // DeltaSource streams a transaction's (or epoch's) net change sets as
 // rows with polarity: the A set first (Insert=true), then the D set.
@@ -219,43 +189,6 @@ func (s *DeltaSource) Stats() OpStats       { return s.stats() }
 func (s *DeltaSource) Describe() string {
 	return fmt.Sprintf("DeltaSource(%s a=%d d=%d)", s.label, len(s.adds), len(s.dels))
 }
-
-// FuncSource materializes rows from a generator run (bracketed) at
-// Open, so plan-time work — reading a materialized view, fetching HR
-// net changes — is attributed to the tree that consumes it.
-type FuncSource struct {
-	base
-	label string
-	gen   func() ([]Row, error)
-	pack  rowPacker
-}
-
-// NewFuncSource builds a generator-backed source.
-func NewFuncSource(o Options, label string, gen func() ([]Row, error)) *FuncSource {
-	return &FuncSource{base: base{meter: o.Meter}, label: label, gen: gen, pack: rowPacker{size: o.size()}}
-}
-
-func (s *FuncSource) Open() error {
-	s.pack.i = 0
-	return s.bracket(func() error {
-		buf, err := s.gen()
-		s.pack.rows = buf
-		return err
-	})
-}
-
-func (s *FuncSource) NextBatch() (*vec.Batch, error) {
-	b := s.pack.next()
-	if b == nil {
-		return nil, nil
-	}
-	return s.emitBatch(b), nil
-}
-
-func (s *FuncSource) Close() error         { s.pack.rows = nil; return nil }
-func (s *FuncSource) Children() []Operator { return nil }
-func (s *FuncSource) Stats() OpStats       { return s.stats() }
-func (s *FuncSource) Describe() string     { return s.label }
 
 // Seq streams each input in order, opening an input only when the
 // previous one is exhausted. It serves two roles: concatenating

@@ -7,6 +7,7 @@ import (
 
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 func newTestIndex(t testing.TB, pageSize, poolCap, buckets int) (*Index, *storage.Meter) {
@@ -19,6 +20,17 @@ func newTestIndex(t testing.TB, pageSize, poolCap, buckets int) (*Index, *storag
 		t.Fatal(err)
 	}
 	return ix, m
+}
+
+// scanAll gathers a full ScanAllBatches scan, in batches of up to size
+// rows, back into tuples.
+func scanAll(t testing.TB, ix *Index, size int) []tuple.Tuple {
+	t.Helper()
+	bs, _, err := ix.ScanAllBatches(size, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vec.Tuples(bs)
 }
 
 func mk(id uint64, k int64) tuple.Tuple {
@@ -78,12 +90,8 @@ func TestOverflowChains(t *testing.T) {
 	if p := ix.Pages(); p < 20 {
 		t.Errorf("Pages = %d, expected long overflow chain", p)
 	}
-	all, err := ix.ScanAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 60 {
-		t.Errorf("ScanAll found %d, want 60", len(all))
+	if all := scanAll(t, ix, 7); len(all) != 60 {
+		t.Errorf("scan found %d, want 60", len(all))
 	}
 }
 
@@ -117,8 +125,7 @@ func TestDeleteFromOverflowPage(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("delete from overflow: ok=%v err=%v", ok, err)
 	}
-	all, _ := ix.ScanAll()
-	for _, tp := range all {
+	for _, tp := range scanAll(t, ix, vec.DefaultBatchSize) {
 		if tp.ID == 40 {
 			t.Error("deleted tuple still present")
 		}
@@ -169,9 +176,8 @@ func TestTruncate(t *testing.T) {
 	if got := ix.Pages(); got != 2 {
 		t.Errorf("Pages after truncate = %d, want 2 primaries", got)
 	}
-	all, _ := ix.ScanAll()
-	if len(all) != 0 {
-		t.Errorf("ScanAll after truncate = %v", all)
+	if all := scanAll(t, ix, vec.DefaultBatchSize); len(all) != 0 {
+		t.Errorf("scan after truncate = %v", all)
 	}
 	// Index stays usable and reuses freed pages.
 	for i := int64(0); i < 50; i++ {
@@ -179,9 +185,8 @@ func TestTruncate(t *testing.T) {
 			t.Fatalf("insert after truncate: %v", err)
 		}
 	}
-	all, _ = ix.ScanAll()
-	if len(all) != 50 {
-		t.Errorf("after refill ScanAll = %d, want 50", len(all))
+	if all := scanAll(t, ix, 3); len(all) != 50 {
+		t.Errorf("after refill scan = %d, want 50", len(all))
 	}
 }
 
@@ -243,8 +248,8 @@ func TestPropertyMatchesModel(t *testing.T) {
 		if ix.Len() != len(model) {
 			return false
 		}
-		all, err := ix.ScanAll()
-		if err != nil || len(all) != len(model) {
+		all := scanAll(t, ix, 5)
+		if len(all) != len(model) {
 			return false
 		}
 		for _, tp := range all {

@@ -21,6 +21,7 @@ import (
 	"viewmat/internal/relation"
 	"viewmat/internal/storage"
 	"viewmat/internal/tuple"
+	"viewmat/internal/vec"
 )
 
 // Role values stored in the AD file's extra column.
@@ -73,7 +74,7 @@ func Open(disk *storage.Disk, pool *storage.Pool, base *relation.Relation, cfg C
 		return nil, err
 	}
 	h := &HR{base: base, ad: ad, filter: bloom.NewForRate(cfg.BloomKeys, cfg.BloomFPRate), pool: pool}
-	entries, err := ad.ScanAll()
+	entries, err := h.scanAD()
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +267,7 @@ func (h *HR) ReadKey(keyVal tuple.Value) ([]tuple.Tuple, error) {
 // sets; an update contributes its old value to D-net (or cancels an
 // epoch-local append) and its new value to A-net.
 func (h *HR) NetChanges() (anet, dnet []tuple.Tuple, err error) {
-	entries, err := h.ad.ScanAll()
+	entries, err := h.scanAD()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -292,6 +293,12 @@ func (h *HR) NetChanges() (anet, dnet []tuple.Tuple, err error) {
 		}
 	}
 	return anet, dnet, nil
+}
+
+// scanAD reads every AD entry (one metered read per page).
+func (h *HR) scanAD() ([]tuple.Tuple, error) {
+	bs, _, err := h.ad.ScanAllBatches(0, nil)
+	return vec.Tuples(bs), err
 }
 
 // Fold applies the differential file to the base relation and resets

@@ -134,6 +134,9 @@ const (
 	// CodeShutdown means the server is draining and accepted no new
 	// work.
 	CodeShutdown
+	// CodeTooLarge means the request ran but its response would exceed
+	// MaxFrame, so none of it was sent; the connection stays usable.
+	CodeTooLarge
 )
 
 // Request is one client operation. Fields beyond Op are op-specific;

@@ -184,45 +184,24 @@ func (r *Relation) LookupKey(v tuple.Value) ([]tuple.Tuple, error) {
 	if r.kind == ClusteredHash {
 		return r.hx.Lookup(v)
 	}
-	it, err := r.bt.Scan(pred.PointRange(v))
-	if err != nil {
-		return nil, err
-	}
-	return drain(it)
+	return r.Scan(pred.PointRange(v))
 }
 
-// Scan returns tuples whose clustering-key value lies in rg, in key
-// order. Only B+-tree relations support range scans.
+// Scan returns tuples whose clustering-key value lies in rg (nil means
+// all), in key order. Only B+-tree relations support range scans.
 func (r *Relation) Scan(rg *pred.Range) ([]tuple.Tuple, error) {
-	if r.kind != ClusteredBTree {
-		return nil, fmt.Errorf("relation %s: range scan requires B+-tree clustering", r.name)
-	}
-	it, err := r.bt.Scan(rg)
+	it, err := r.IterBatches(rg, nil)
 	if err != nil {
 		return nil, err
 	}
-	return drain(it)
-}
-
-// Iter returns a streaming iterator over the clustering range (B+-tree
-// only); rg nil means everything.
-func (r *Relation) Iter(rg *pred.Range) (*btree.Iterator, error) {
-	if r.kind != ClusteredBTree {
-		return nil, fmt.Errorf("relation %s: iterator requires B+-tree clustering", r.name)
-	}
-	return r.bt.Scan(rg)
+	bs, err := it.Batches(vec.DefaultBatchSize)
+	return vec.Tuples(bs), err
 }
 
 // ScanAll returns every tuple (sequential scan: every data page read).
 func (r *Relation) ScanAll() ([]tuple.Tuple, error) {
-	if r.kind == ClusteredBTree {
-		it, err := r.bt.ScanAll()
-		if err != nil {
-			return nil, err
-		}
-		return drain(it)
-	}
-	return r.hx.ScanAll()
+	bs, _, err := r.ScanAllBatches(0, nil)
+	return vec.Tuples(bs), err
 }
 
 // IterBatches returns a columnar iterator over the clustering range
@@ -230,15 +209,15 @@ func (r *Relation) ScanAll() ([]tuple.Tuple, error) {
 // skip pages whose zone maps disprove them (see btree.ScanBatches).
 func (r *Relation) IterBatches(rg *pred.Range, prune []colpage.Atom) (*btree.BatchIterator, error) {
 	if r.kind != ClusteredBTree {
-		return nil, fmt.Errorf("relation %s: iterator requires B+-tree clustering", r.name)
+		return nil, fmt.Errorf("relation %s: range scan requires B+-tree clustering", r.name)
 	}
 	return r.bt.ScanBatches(rg, prune)
 }
 
-// ScanAllBatches is ScanAll decoded straight into columnar batches of
-// up to size rows, with identical page order and metered charges —
-// minus any pages the prune atoms' zone maps disprove, which are
-// skipped unread and reported in pruned.
+// ScanAllBatches returns every tuple decoded straight into columnar
+// batches of up to size rows, one metered read per data page — minus
+// any pages the prune atoms' zone maps disprove, which are skipped
+// unread and reported in pruned.
 func (r *Relation) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch, int64, error) {
 	if size < 1 {
 		size = vec.DefaultBatchSize
@@ -250,17 +229,8 @@ func (r *Relation) ScanAllBatches(size int, prune []colpage.Atom) ([]*vec.Batch,
 	if err != nil {
 		return nil, 0, err
 	}
-	var out []*vec.Batch
-	for !it.Done() {
-		b := &vec.Batch{}
-		if err := it.Fill(b, size); err != nil {
-			return nil, 0, err
-		}
-		if b.NumRows() > 0 {
-			out = append(out, b)
-		}
-	}
-	return out, it.Pruned(), nil
+	bs, err := it.Batches(size)
+	return bs, it.Pruned(), err
 }
 
 // --- secondary indexes ----------------------------------------------------
@@ -314,14 +284,15 @@ func (r *Relation) LookupSecondary(col int, rg *pred.Range) ([]tuple.Tuple, erro
 	if !ok {
 		return nil, fmt.Errorf("relation %s: no secondary index on column %d", r.name, col)
 	}
-	it, err := sec.bt.Scan(rg)
+	it, err := sec.bt.ScanBatches(rg, nil)
 	if err != nil {
 		return nil, err
 	}
-	ptrs, err := drain(it)
+	bs, err := it.Batches(vec.DefaultBatchSize)
 	if err != nil {
 		return nil, err
 	}
+	ptrs := vec.Tuples(bs)
 	out := make([]tuple.Tuple, 0, len(ptrs))
 	for _, ptr := range ptrs {
 		tp, found, err := r.Get(ptr.Vals[1], ptr.ID)
@@ -334,18 +305,4 @@ func (r *Relation) LookupSecondary(col int, rg *pred.Range) ([]tuple.Tuple, erro
 		out = append(out, tp)
 	}
 	return out, nil
-}
-
-func drain(it *btree.Iterator) ([]tuple.Tuple, error) {
-	var out []tuple.Tuple
-	for {
-		tp, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, tp)
-	}
 }

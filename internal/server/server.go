@@ -111,10 +111,6 @@ func New(db *core.Database, cfg Config) *Server {
 	}
 }
 
-// DB returns the served engine (the crash-restart tests query it
-// directly to cross-check socket answers).
-func (s *Server) DB() *core.Database { return s.db }
-
 // ListenAndServe listens on cfg.Addr and serves until Shutdown or
 // Kill.
 func (s *Server) ListenAndServe() error {

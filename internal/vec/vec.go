@@ -262,6 +262,46 @@ func (b *Batch) TupleAt(s, i int) tuple.Tuple {
 	return t
 }
 
+// SplitDup reshapes a slot-0-only batch whose last column holds a
+// duplicate count — a materialized view's stored rows — into the shape
+// those rows are read as: the leading columns become the output lanes,
+// the count lane becomes Dup, and the slot binding is dropped.
+func (b *Batch) SplitDup() *Batch {
+	last := len(b.Slots[0]) - 1
+	return &Batch{n: b.n, outSet: true, Out: b.Slots[0][:last:last], Insert: b.Insert, Dup: b.Slots[0][last].Ints}
+}
+
+// FromTuples packs tuples as slot-0 rows of the given polarity into
+// batches of up to size rows, starting a new batch wherever the arity
+// changes.
+func FromTuples(tps []tuple.Tuple, insert bool, size int) []*Batch {
+	var out []*Batch
+	b := &Batch{}
+	for i := range tps {
+		if !b.TryAppend(&tps[i], nil, nil, insert, 0, size) {
+			out = append(out, b)
+			b = &Batch{}
+			b.TryAppend(&tps[i], nil, nil, insert, 0, size)
+		}
+	}
+	if b.n > 0 {
+		out = append(out, b)
+	}
+	return out
+}
+
+// Tuples gathers the slot-0 binding of every row of bs, in order, back
+// into tuples — for callers of a scan that need whole tuples.
+func Tuples(bs []*Batch) []tuple.Tuple {
+	var out []tuple.Tuple
+	for _, b := range bs {
+		for i := 0; i < b.n; i++ {
+			out = append(out, b.TupleAt(0, i))
+		}
+	}
+	return out
+}
+
 // OutAt gathers row i's projected values (nil when no Project ran).
 func (b *Batch) OutAt(i int) []tuple.Value {
 	if !b.outSet {

@@ -295,3 +295,49 @@ func TestSetOutReplacesProjection(t *testing.T) {
 		t.Fatalf("OutAt = %v", b.OutAt(0))
 	}
 }
+
+func TestFromTuplesAndTuplesRoundTrip(t *testing.T) {
+	in := []tuple.Tuple{
+		tp(1, tuple.I(1), tuple.S("a")),
+		tp(2, tuple.I(2), tuple.S("b")),
+		tp(3, tuple.I(3), tuple.S("c")),
+		tp(4, tuple.I(4)), // arity change starts a new batch
+	}
+	bs := FromTuples(in, true, 2)
+	if len(bs) != 3 || bs[0].NumRows() != 2 || bs[1].NumRows() != 1 || bs[2].NumRows() != 1 {
+		t.Fatalf("batches = %d, want sizes 2,1,1", len(bs))
+	}
+	for _, b := range bs {
+		for i := 0; i < b.NumRows(); i++ {
+			if !b.InsertAt(i) || b.DupAt(i) != 0 {
+				t.Errorf("row polarity/dup = %v/%d, want insert/0", b.InsertAt(i), b.DupAt(i))
+			}
+		}
+	}
+	out := Tuples(bs)
+	if len(out) != len(in) {
+		t.Fatalf("gathered %d tuples, want %d", len(out), len(in))
+	}
+	for i := range in {
+		if out[i].ID != in[i].ID || out[i].ValueKey() != in[i].ValueKey() {
+			t.Errorf("tuple %d = %v, want %v", i, out[i], in[i])
+		}
+	}
+}
+
+func TestSplitDupMovesCountLane(t *testing.T) {
+	b := FromTuples([]tuple.Tuple{
+		tp(7, tuple.I(1), tuple.S("x"), tuple.I(3)),
+		tp(8, tuple.I(2), tuple.S("y"), tuple.I(1)),
+	}, false, 8)[0]
+	s := b.SplitDup()
+	if s.HasSlot(0) || !s.HasOut() || s.NumRows() != 2 {
+		t.Fatalf("shape: slot0=%v out=%v rows=%d", s.HasSlot(0), s.HasOut(), s.NumRows())
+	}
+	if got := s.OutAt(0); len(got) != 2 || got[0].Int() != 1 || got[1].Str() != "x" {
+		t.Errorf("row 0 out = %v", got)
+	}
+	if s.DupAt(0) != 3 || s.DupAt(1) != 1 || s.InsertAt(0) {
+		t.Errorf("dup = %d,%d insert = %v", s.DupAt(0), s.DupAt(1), s.InsertAt(0))
+	}
+}
